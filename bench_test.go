@@ -538,37 +538,10 @@ func BenchmarkAbsorptionDense(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepSparseReuse measures a Section 7 style sweep at r=48,
-// ft=7 (255 transient states per cell, well past the crossover): every
-// grid cell reuses the pooled chain topology and the cached symbolic
-// factorization, refilling numeric values only.
-func BenchmarkSweepSparseReuse(b *testing.B) {
-	p := params.Baseline()
-	p.RedundancySetSize = 48
-	cfgs := []core.Config{{Internal: core.InternalNone, NodeFaultTolerance: 7}}
-	xs := make([]float64, 64)
-	for i := range xs {
-		xs[i] = float64(200_000 + i)
-	}
-	apply := func(p *params.Parameters, x float64) { p.DriveMTTFHours = x }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Sweep(p, cfgs, core.MethodExactChain, xs, apply); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(xs)*len(cfgs)), "cells")
-}
-
-// Batched sweep engine benchmarks (BENCH_batch.json).
-
-// benchSweepGrid runs one r=48/ft=7 DriveMTTF sweep of nx cells per
-// iteration — the same 255-transient-state chain as
-// BenchmarkSweepSparseReuse — with the batch chunk size pinned.
-// batch < 0 forces the per-cell path (rebuild the chain from strings for
-// every cell); batch = 0 uses the batched engine's default chunk.
-func benchSweepGrid(b *testing.B, nx, batch int) {
-	b.Helper()
+// sweepExactGrid returns the r=48/ft=7 DriveMTTF grid of nx cells: the
+// deep fault tolerance (255 transient states in the chain) where the
+// float64 chain solve loses digits and the exact engines differ most.
+func sweepExactGrid(nx int) (params.Parameters, []core.Config, []float64, func(*params.Parameters, float64)) {
 	p := params.Baseline()
 	p.RedundancySetSize = 48
 	cfgs := []core.Config{{Internal: core.InternalNone, NodeFaultTolerance: 7}}
@@ -576,36 +549,47 @@ func benchSweepGrid(b *testing.B, nx, batch int) {
 	for i := range xs {
 		xs[i] = float64(200_000 + i)
 	}
-	apply := func(p *params.Parameters, x float64) { p.DriveMTTFHours = x }
-	prev := core.SetBatchCells(batch)
-	defer core.SetBatchCells(prev)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Sweep(p, cfgs, core.MethodExactChain, xs, apply); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(nx*len(cfgs)), "cells")
+	return p, cfgs, xs, func(p *params.Parameters, x float64) { p.DriveMTTFHours = x }
 }
 
-// BenchmarkSweepBatch contrasts the structure-of-arrays batched cell
-// solver against the per-cell path on the Section 7 figure grid (64
-// cells) and a 10k-cell grid. Both variants produce bit-identical
-// results (TestSweepBatchMatchesPerCellBitwise); only wall-clock
-// differs. The batched engine amortizes chain construction: rates are
-// refilled through a compiled index program straight into the shared
-// CSR skeleton, so the per-cell string/map work disappears.
-func BenchmarkSweepBatch(b *testing.B) {
-	for _, c := range []struct {
-		name      string
-		nx, batch int
-	}{
-		{"cells=64/batched", 64, 0},
-		{"cells=64/percell", 64, -1},
-		{"cells=10240/batched", 10_240, 0},
-		{"cells=10240/percell", 10_240, -1},
-	} {
-		b.Run(c.name, func(b *testing.B) { benchSweepGrid(b, c.nx, c.batch) })
+// BenchmarkSweepSparseReuse measures the per-cell exact-chain analysis
+// over the 64 cells of the r=48, ft=7 grid (255 transient states per
+// cell, well past the crossover): every cell reuses the pooled chain
+// topology and the cached symbolic factorization, refilling numeric
+// values only. This is the cross-check path AnalyzeCtx(MethodExactChain)
+// keeps; sweeps themselves run on the recurrences (BenchmarkSweepExact).
+func BenchmarkSweepSparseReuse(b *testing.B) {
+	p, cfgs, xs, apply := sweepExactGrid(64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, x := range xs {
+			q := p
+			apply(&q, x)
+			if _, err := core.Analyze(q, cfgs[0], core.MethodExactChain); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(xs)*len(cfgs)), "cells")
+}
+
+// BenchmarkSweepExact runs one exact-chain sweep of the r=48/ft=7 grid
+// per iteration, on the Section 7 figure size (64 cells) and a 10k-cell
+// grid: the chunked recurrence engine end to end (params apply,
+// analyzePrep, recurrence, finish, chunk scheduling).
+func BenchmarkSweepExact(b *testing.B) {
+	for _, nx := range []int{64, 10_240} {
+		b.Run(fmt.Sprintf("cells=%d", nx), func(b *testing.B) {
+			p, cfgs, xs, apply := sweepExactGrid(nx)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Sweep(p, cfgs, core.MethodExactChain, xs, apply); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(nx*len(cfgs)), "cells")
+		})
 	}
 }
 

@@ -1,10 +1,6 @@
 package closedform
 
-import (
-	"fmt"
-
-	"repro/internal/combinat"
-)
+import "repro/internal/combinat"
 
 // This file implements the appendix's *exact* recursive solution for the
 // no-internal-RAID model — not the Figure A1 approximation, but the
@@ -40,7 +36,15 @@ import (
 // with every term positive: g is the root's *effective absorption-bound
 // outflow* (direct absorption plus per-excursion escape mass). The result
 // is algebraically identical to the dense LU solution of the same chain
-// but numerically stable to arbitrary k, and costs O(2^k) arithmetic.
+// but numerically stable to arbitrary k.
+//
+// The recursion tree has 2^(k+1)−1 nodes, one per failure-stack prefix,
+// but a node's (ρ, ν) depends on its prefix only through its level and
+// its number of drive failures: the h parameters below it are
+// h_α = BaseH·d^(1−#d(α)) (combinat.HByDrives), and nothing else in the
+// combine step sees the prefix. Evaluating each (level, drive count)
+// pair once runs the identical floating-point operations in k(k+1)/2
+// combine steps instead of 2^(k+1)−1.
 
 // NIRMTTDLRecursive returns the exact MTTDL of the no-internal-RAID model
 // at fault tolerance k via the appendix's determinant recursion. Unlike
@@ -49,48 +53,54 @@ import (
 // the chain construction.
 func NIRMTTDLRecursive(in NIRInputs, k int) float64 {
 	in.validate(k)
-	hset := combinat.HSet(in.N, in.R, in.D, in.CHER, k)
-	for i, h := range hset {
-		if h > 1 {
-			hset[i] = 1
+	var stack [48]float64 // h, ρ and ν for k < 16 without a heap allocation
+	buf := stack[:0]
+	if 3*(k+1) > len(stack) {
+		buf = make([]float64, 0, 3*(k+1))
+	}
+	h := combinat.HByDrives(buf, in.N, in.R, in.D, in.CHER, k)
+	for j, v := range h {
+		if v > 1 {
+			h[j] = 1
 		}
 	}
-	_, nu := nirRecurse(in, k, in.N, hset)
-	return nu
-}
-
-// nirRecurse returns (ρ, ν) of the level-k model with n nodes remaining
-// and the given ordered h-set (2^k values; ignored above level 1).
-func nirRecurse(in NIRInputs, k, n int, hset []float64) (rho, nu float64) {
+	// rho[c], nu[c] hold the level's (ρ, ν) for a prefix with c drive
+	// failures; level 0 is the fully degraded base, the same for every c.
+	rho, nu := buf[k+1:2*(k+1)], buf[2*(k+1):3*(k+1)]
 	d := float64(in.D)
-	totalFail := float64(n) * (in.LambdaN + d*in.LambdaD)
-	if k == 0 {
-		// Fully degraded: one more failure absorbs.
-		inv := 1 / totalFail
-		return inv, inv
+	inv := 1 / (float64(in.N-k) * (in.LambdaN + d*in.LambdaD))
+	for c := range rho {
+		rho[c], nu[c] = inv, inv
 	}
-	if len(hset) != 1<<k {
-		panic(fmt.Sprintf("closedform: level %d expects %d h values, got %d", k, 1<<k, len(hset)))
-	}
-	half := len(hset) / 2
-	rhoN, nuN := nirRecurse(in, k-1, n-1, hset[:half])
-	rhoD, nuD := nirRecurse(in, k-1, n-1, hset[half:])
+	for level := 1; level <= k; level++ {
+		n := float64(in.N - k + level)
+		// A node node-fails into the child with the same drive count and
+		// drive-fails into the one with one more; updating in ascending c
+		// reads each child before it is overwritten.
+		for c := 0; c <= k-level; c++ {
+			rhoN, nuN := rho[c], nu[c]
+			rhoD, nuD := rho[c+1], nu[c+1]
 
-	// Escape factors: probability mass of an excursion into a child block
-	// that does NOT return to this root (per A.5's repair fold-in).
-	escapeN := 1 / (1 + in.MuN*rhoN)
-	escapeD := 1 / (1 + in.MuD*rhoD)
+			// Escape factors: probability mass of an excursion into a
+			// child block that does NOT return to this root (per A.5's
+			// repair fold-in).
+			escapeN := 1 / (1 + in.MuN*rhoN)
+			escapeD := 1 / (1 + in.MuD*rhoD)
 
-	// Transition rates out of this level's root: failures, plus (at the
-	// innermost level) direct absorption via uncorrectable errors.
-	rN := float64(n) * in.LambdaN
-	rD := float64(n) * d * in.LambdaD
-	rA := 0.0
-	if k == 1 {
-		rA = rN*hset[0] + rD*hset[1]
-		rN *= 1 - hset[0]
-		rD *= 1 - hset[1]
+			// Transition rates out of this level's root: failures, plus
+			// (at the innermost level) direct absorption via
+			// uncorrectable errors.
+			rN := n * in.LambdaN
+			rD := n * d * in.LambdaD
+			rA := 0.0
+			if level == 1 {
+				rA = rN*h[c] + rD*h[c+1]
+				rN *= 1 - h[c]
+				rD *= 1 - h[c+1]
+			}
+			g := rA + rN*escapeN + rD*escapeD
+			rho[c], nu[c] = 1/g, (1+rN*nuN*escapeN+rD*nuD*escapeD)/g
+		}
 	}
-	g := rA + rN*escapeN + rD*escapeD
-	return 1 / g, (1 + rN*nuN*escapeN + rD*nuD*escapeD) / g
+	return nu[0]
 }

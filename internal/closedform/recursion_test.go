@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/combinat"
 	"repro/internal/linalg"
 )
 
@@ -127,4 +128,59 @@ func TestRecursiveValidation(t *testing.T) {
 		}
 	}()
 	NIRMTTDLRecursive(in, 0)
+}
+
+// nirRecurseTree is the recursion evaluated node by node over the full
+// 2^(k+1)−1 tree, the h-set indexed per failure word: the test oracle
+// for NIRMTTDLRecursive's (level, drive count) evaluation.
+func nirRecurseTree(in NIRInputs, k, n int, hset []float64) (rho, nu float64) {
+	d := float64(in.D)
+	totalFail := float64(n) * (in.LambdaN + d*in.LambdaD)
+	if k == 0 {
+		inv := 1 / totalFail
+		return inv, inv
+	}
+	half := len(hset) / 2
+	rhoN, nuN := nirRecurseTree(in, k-1, n-1, hset[:half])
+	rhoD, nuD := nirRecurseTree(in, k-1, n-1, hset[half:])
+	escapeN := 1 / (1 + in.MuN*rhoN)
+	escapeD := 1 / (1 + in.MuD*rhoD)
+	rN := float64(n) * in.LambdaN
+	rD := float64(n) * d * in.LambdaD
+	rA := 0.0
+	if k == 1 {
+		rA = rN*hset[0] + rD*hset[1]
+		rN *= 1 - hset[0]
+		rD *= 1 - hset[1]
+	}
+	g := rA + rN*escapeN + rD*escapeD
+	return 1 / g, (1 + rN*nuN*escapeN + rD*nuD*escapeD) / g
+}
+
+// Evaluating each (level, drive count) pair once is bit-identical to
+// walking the whole recursion tree, across fault tolerances and random
+// inputs — including h values clamped at 1.
+func TestRecursiveMatchesTreeBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 400; trial++ {
+		k := 1 + rng.Intn(10)
+		n := k + 2 + rng.Intn(60)
+		r := k + 1 + rng.Intn(n-k)
+		in := NIRInputs{
+			N: n, R: r, D: 1 + rng.Intn(16),
+			LambdaN: rng.Float64() * 1e-3, LambdaD: rng.Float64() * 1e-3,
+			MuN: rng.Float64() * 10, MuD: rng.Float64() * 10,
+			CHER: rng.Float64() * 0.5,
+		}
+		hset := combinat.HSet(in.N, in.R, in.D, in.CHER, k)
+		for i, h := range hset {
+			if h > 1 {
+				hset[i] = 1
+			}
+		}
+		_, want := nirRecurseTree(in, k, in.N, hset)
+		if got := NIRMTTDLRecursive(in, k); got != want {
+			t.Fatalf("k=%d %+v: %v, tree walk %v", k, in, got, want)
+		}
+	}
 }

@@ -179,16 +179,23 @@ func HSet(n, r, d int, cher float64, k int) []float64 {
 	if k < 0 {
 		panic(fmt.Sprintf("combinat: HSet with negative k = %d", k))
 	}
-	h := BaseH(n, r, k, cher)
-	powD := make([]float64, k+1)
-	for j := 0; j <= k; j++ {
-		powD[j] = math.Pow(float64(d), float64(1-j))
-	}
+	byDrives := HByDrives(make([]float64, 0, k+1), n, r, d, cher, k)
 	out := make([]float64, 1<<k)
 	for i := range out {
-		out[i] = h * powD[bits.OnesCount(uint(i))]
+		out[i] = byDrives[bits.OnesCount(uint(i))]
 	}
 	return out
+}
+
+// HByDrives appends to dst the h parameter by drive-failure count:
+// element j is BaseH·d^(1−j), the value HSet holds for every failure
+// word with j drive failures (j = 0..k). It returns the extended slice.
+func HByDrives(dst []float64, n, r, d int, cher float64, k int) []float64 {
+	h := BaseH(n, r, k, cher)
+	for j := 0; j <= k; j++ {
+		dst = append(dst, h*math.Pow(float64(d), float64(1-j)))
+	}
+	return dst
 }
 
 // RedundancySets returns C(N, R), the total number of redundancy sets of

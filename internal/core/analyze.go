@@ -21,10 +21,16 @@ const (
 	// (Sections 4.2, 4.3, 5.2 and the appendix theorem). This is what the
 	// paper's figures use.
 	MethodClosedForm Method = iota + 1
-	// MethodExactChain builds the corresponding Markov chain and solves
-	// it exactly with dense linear algebra. The internal-array rates λ_D
-	// and λ_S feeding the hierarchical model are still the paper's closed
-	// forms (the hierarchy itself is the paper's modelling choice).
+	// MethodExactChain asks for the exact solution of the node-level
+	// Markov chain. Analyze builds the chain and solves it with sparse or
+	// dense LU — the per-cell cross-check against the recurrences. Sweeps
+	// (Sweep, SweepStreamCtx) and plan confirmation answer the same chains
+	// through the appendix recurrences instead (MethodExactStable's
+	// numbers, with this label kept on the Result): they are exact to
+	// about an ulp where the float64 LU loses digits at deep fault
+	// tolerance, and need no chain. The internal-array rates λ_D and λ_S
+	// feeding the hierarchical model are still the paper's closed forms
+	// (the hierarchy itself is the paper's modelling choice).
 	MethodExactChain
 	// MethodExactStable evaluates the same exact solutions through
 	// cancellation-free recurrences (the appendix's determinant recursion
@@ -105,7 +111,7 @@ func AnalyzeCtx(ctx context.Context, p params.Parameters, cfg Config, method Met
 				return Result{}, chainSolveError(true, err)
 			}
 		case MethodExactStable:
-			mttdl = closedform.NIRMTTDLRecursive(pr.nir, k)
+			mttdl = pr.recurrence()
 		default:
 			return Result{}, fmt.Errorf("core: unknown method %d", int(method))
 		}
@@ -123,7 +129,7 @@ func AnalyzeCtx(ctx context.Context, p params.Parameters, cfg Config, method Met
 				return Result{}, chainSolveError(false, err)
 			}
 		case MethodExactStable:
-			mttdl = closedform.IRMTTDLExact(pr.ir, k)
+			mttdl = pr.recurrence()
 		default:
 			return Result{}, fmt.Errorf("core: unknown method %d", int(method))
 		}
@@ -133,9 +139,8 @@ func AnalyzeCtx(ctx context.Context, p params.Parameters, cfg Config, method Met
 
 // analysisPrep is the solver-independent half of one analysis: validated
 // inputs, computed repair and internal-array rates, and the partially
-// populated Result. AnalyzeCtx pairs it with one chain build or closed
-// form; the batched sweep engine prepares a whole chunk of these, then
-// solves the chunk through one markov.BatchSolver.
+// populated Result. AnalyzeCtx pairs it with one chain solve, closed form
+// or recurrence.
 type analysisPrep struct {
 	res Result
 	k   int
@@ -204,6 +209,27 @@ func analyzePrep(p params.Parameters, cfg Config, method Method) (analysisPrep, 
 		}
 	}
 	return pr, nil
+}
+
+// recurrence evaluates the exact MTTDL through the appendix recurrences:
+// the determinant recursion for no internal RAID, the first-passage
+// recurrence of the birth-death chain for internal RAID.
+func (pr *analysisPrep) recurrence() float64 {
+	if pr.res.Config.Internal == InternalNone {
+		return closedform.NIRMTTDLRecursive(pr.nir, pr.k)
+	}
+	return closedform.IRMTTDLExact(pr.ir, pr.k)
+}
+
+// analyzeRecurrence is AnalyzeCtx(MethodExactStable) with the Result
+// labelled method: the same calls in the same order, so the numbers are
+// bit-identical to that method.
+func analyzeRecurrence(p params.Parameters, cfg Config, method Method) (Result, error) {
+	pr, err := analyzePrep(p, cfg, method)
+	if err != nil {
+		return Result{}, err
+	}
+	return pr.finish(pr.recurrence())
 }
 
 // chainSolveError wraps a chain-solve failure in AnalyzeCtx's wording.

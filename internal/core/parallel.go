@@ -83,7 +83,8 @@ func runIndexed(n int, fn func(i int) error) error {
 // work stops within one fn call of cancellation. On cancellation the
 // return value is ctx.Err() unless an fn error was recorded first —
 // under cancellation the "lowest failing index" guarantee is waived,
-// since later indices were legitimately never attempted.
+// since later indices were legitimately never attempted. A panic in fn
+// reaches the caller's goroutine, as it would from the serial loop.
 func runIndexedCtx(ctx context.Context, n int, fn func(i int) error) error {
 	workers := MaxWorkers()
 	if workers > n {
@@ -106,14 +107,30 @@ func runIndexedCtx(ctx context.Context, n int, fn func(i int) error) error {
 		mu       sync.Mutex
 		firstErr error
 		firstIdx = n
+		// A panic in fn stops the pool and is re-raised on the calling
+		// goroutine, where the caller's recovery (the server's cache
+		// leader, a test) can see it; on a worker goroutine it would
+		// end the process.
+		panicked atomic.Bool
+		panicVal any
 	)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					mu.Lock()
+					if !panicked.Load() {
+						panicVal = v
+						panicked.Store(true)
+					}
+					mu.Unlock()
+				}
+			}()
 			for {
-				if ctx.Err() != nil {
+				if ctx.Err() != nil || panicked.Load() {
 					return
 				}
 				i := int(next.Add(1)) - 1
@@ -145,6 +162,9 @@ func runIndexedCtx(ctx context.Context, n int, fn func(i int) error) error {
 		}()
 	}
 	wg.Wait()
+	if panicked.Load() {
+		panic(panicVal)
+	}
 	if firstErr != nil {
 		return firstErr
 	}

@@ -154,3 +154,26 @@ func TestElasticitiesDeterministicAcrossWorkers(t *testing.T) {
 		})
 	}
 }
+
+// A panic on a worker goroutine stops the pool and re-panics on the
+// caller's goroutine with the same value, where a recover can see it —
+// the serial loop's behaviour, at any worker count.
+func TestRunIndexedPanicReachesCaller(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		withWorkers(t, w, func() {
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				runIndexed(1000, func(i int) error {
+					if i == 17 {
+						panic("cell 17")
+					}
+					return nil
+				})
+				return nil
+			}()
+			if got != "cell 17" {
+				t.Errorf("workers=%d: recovered %v, want the worker's panic value", w, got)
+			}
+		})
+	}
+}

@@ -36,16 +36,17 @@ func Sweep(base params.Parameters, cfgs []Config, method Method, xs []float64, a
 }
 
 // SweepCtx is Sweep with cancellation: the context is polled before each
-// (point, configuration) grid cell, so a cancelled sweep stops within
-// one Analyze and returns ctx.Err() instead of a partial grid.
+// (point, configuration) grid cell — every 16 cells on the exact-chain
+// path, whose cells take about a microsecond — so a cancelled sweep
+// stops promptly and returns ctx.Err() instead of a partial grid.
 //
 // When the context carries an active span (obs.StartSpan), the grid is
 // traced: one "core.sweep" span brackets the whole grid. On the per-cell
 // path each cell's analysis runs under a "core.cell" child carrying the
-// swept x value and configuration index; the batched exact-chain path
-// (see SetBatchCells) instead emits one "markov.batch" child per solved
-// chunk — cells and chunks run on worker goroutines, so their spans
-// interleave but parent correctly.
+// swept x value and configuration index; MethodExactChain grids run in
+// chunks on the recurrences (chunks.go) and emit one "core.chunk" child
+// per chunk instead — cells and chunks run on worker goroutines, so
+// their spans interleave but parent correctly.
 func SweepCtx(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64)) ([]SweepPoint, error) {
 	return sweepCtx(ctx, base, cfgs, method, xs, apply, nil)
 }
@@ -76,10 +77,9 @@ func sweepCellError(x float64, cfg Config, err error) error {
 }
 
 // sweepCtx runs the grid for SweepCtx and SweepStreamCtx (emit == nil
-// means buffered). MethodExactChain grids route through the batched
-// engine in batch.go unless SetBatchCells disabled it; everything else
-// takes the per-cell path. Both paths produce bitwise-identical grids
-// and first-error strings.
+// means buffered). MethodExactChain grids run in chunks on the
+// recurrences (chunks.go); everything else takes the per-cell path. Both
+// paths report first errors in the same shape.
 func sweepCtx(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), emit func(SweepPoint) error) ([]SweepPoint, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("core: empty sweep")
@@ -93,8 +93,9 @@ func sweepCtx(ctx context.Context, base params.Parameters, cfgs []Config, method
 	}
 	defer sweepSp.End()
 	out := make([]SweepPoint, len(xs))
+	results := make([]Result, len(xs)*len(cfgs)) // one backing array for the grid
 	for i, x := range xs {
-		out[i] = SweepPoint{X: x, Results: make([]Result, len(cfgs))}
+		out[i] = SweepPoint{X: x, Results: results[i*len(cfgs) : (i+1)*len(cfgs) : (i+1)*len(cfgs)]}
 	}
 
 	var tr *pointTracker
@@ -106,8 +107,8 @@ func sweepCtx(ctx context.Context, base params.Parameters, cfgs []Config, method
 	}
 
 	var err error
-	if method == MethodExactChain && batchCells() > 0 {
-		err = sweepBatch(ctx, base, cfgs, method, xs, apply, out, tr)
+	if method == MethodExactChain {
+		err = sweepChunked(ctx, base, cfgs, method, xs, apply, out, tr)
 	} else {
 		// Flatten to (point, configuration) cells: finer-grained than
 		// fanning out whole points, and it avoids nested pools.

@@ -32,7 +32,7 @@ import (
 // so iteration — and therefore every accumulated floating-point sum — is
 // bit-identical before and after freezing, but frozen iteration is an
 // allocation-free slice view. Model builders freeze once at construction;
-// analysis sweeps refill the frozen topology via BeginRefill/EndRefill.
+// repeated analyses refill the frozen topology via BeginRefill/EndRefill.
 type Chain struct {
 	names     []string
 	index     map[string]int
@@ -154,55 +154,6 @@ func (c *Chain) addEdge(from, to string, rate float64) {
 		return
 	}
 	c.rates[f][t] += rate
-}
-
-// EdgeIndex returns the position in the frozen edge array of the from→to
-// transition, or -1 if either state or the edge is absent. The index is
-// stable for the chain's lifetime and across refills, which is what lets
-// compiled refill programs address edges without string lookups. It
-// panics on an unfrozen chain — edge positions only exist in CSR form.
-func (c *Chain) EdgeIndex(from, to string) int {
-	if !c.Frozen() {
-		panic("markov: EdgeIndex on unfrozen chain")
-	}
-	f, ok := c.index[from]
-	if !ok {
-		return -1
-	}
-	t, ok := c.index[to]
-	if !ok {
-		return -1
-	}
-	return c.findEdge(f, t)
-}
-
-// ApplyRates refills a frozen chain in one call: every edge rate is
-// zeroed, rates[i] accumulates onto edges[program[i]] in program order,
-// and exit sums are recomputed. That is exactly the
-// BeginRefill/AddEdge…/EndRefill sequence a program was compiled from —
-// same per-edge addition order, same sorted exit summation — so a
-// program refill is bit-identical to the string-keyed one while touching
-// no strings or maps. Negative rates panic as AddRate would; a
-// program/rates length mismatch panics (the program encodes the
-// builder's exact emission sequence).
-func (c *Chain) ApplyRates(program []int, rates []float64) {
-	if !c.Frozen() {
-		panic("markov: ApplyRates on unfrozen chain")
-	}
-	if len(program) != len(rates) {
-		panic(fmt.Sprintf("markov: ApplyRates program length %d vs %d rates", len(program), len(rates)))
-	}
-	for i := range c.edges {
-		c.edges[i].Rate = 0
-	}
-	for i, e := range program {
-		r := rates[i]
-		if r < 0 {
-			panic(fmt.Sprintf("markov: negative rate %v in ApplyRates", r))
-		}
-		c.edges[e].Rate += r
-	}
-	c.recomputeExits()
 }
 
 // findEdge returns the index into edges of the f→t edge, or -1.
@@ -390,19 +341,7 @@ type Edge struct {
 // probability mass and make mean time to absorption infinite). Structural
 // zero-rate edges (AddEdge) do not count as outgoing rate and do not make
 // an absorbing state reachable.
-func (c *Chain) Validate() error { return c.validate(nil) }
-
-// validateScratch holds the reachability buffers so repeated validations
-// (batched sweeps validate one refilled chain per grid cell) run without
-// allocating. The zero value is ready to use.
-type validateScratch struct {
-	seen  []bool
-	stack []int
-}
-
-// validate is Validate with optional caller-owned scratch; the checks,
-// their order and their messages are identical either way.
-func (c *Chain) validate(vs *validateScratch) error {
+func (c *Chain) Validate() error {
 	if len(c.names) == 0 {
 		return fmt.Errorf("markov: chain has no states")
 	}
@@ -420,38 +359,23 @@ func (c *Chain) validate(vs *validateScratch) error {
 			return fmt.Errorf("markov: transient state %q has no outgoing transitions", c.names[i])
 		}
 	}
-	if !c.absorptionReachable(vs) {
+	if !c.absorptionReachable() {
 		return fmt.Errorf("markov: no absorbing state is reachable from the initial state")
 	}
 	return nil
 }
 
-func (c *Chain) absorptionReachable(vs *validateScratch) bool {
+func (c *Chain) absorptionReachable() bool {
 	n := len(c.names)
-	var seen []bool
-	var stack []int
-	if vs != nil {
-		if cap(vs.seen) < n {
-			vs.seen = make([]bool, n)
-		}
-		seen = vs.seen[:n]
-		for i := range seen {
-			seen[i] = false
-		}
-		stack = vs.stack[:0]
-	} else {
-		seen = make([]bool, n)
-		stack = make([]int, 0, n)
-	}
-	reached := false
+	seen := make([]bool, n)
+	stack := make([]int, 0, n)
 	stack = append(stack, c.initial)
 	seen[c.initial] = true
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if c.absorbing[s] {
-			reached = true
-			break
+			return true
 		}
 		for _, e := range c.Successors(s) {
 			if e.Rate > 0 && !seen[e.To] {
@@ -460,10 +384,7 @@ func (c *Chain) absorptionReachable(vs *validateScratch) bool {
 			}
 		}
 	}
-	if vs != nil {
-		vs.stack = stack[:0]
-	}
-	return reached
+	return false
 }
 
 // Generator returns the infinitesimal generator matrix Q over all states:

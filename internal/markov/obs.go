@@ -29,11 +29,6 @@ type solverMetrics struct {
 	sparseFallbacks     *obs.Counter
 	sparseNNZ           *obs.Histogram
 	sparseFill          *obs.Histogram
-
-	batchChunks  *obs.Counter
-	batchCells   *obs.Counter
-	batchSeconds *obs.Histogram
-	batchSize    *obs.Histogram
 }
 
 var instr atomic.Pointer[solverMetrics]
@@ -65,11 +60,6 @@ func Instrument(reg *obs.Registry) {
 		sparseFallbacks:     reg.Counter("markov.sparse.dense_fallbacks"),
 		sparseNNZ:           reg.Histogram("markov.sparse.nnz", obs.ExpBuckets(4, 4, 12)),
 		sparseFill:          reg.Histogram("markov.sparse.fill_ratio", obs.ExpBuckets(1, 2, 8)),
-
-		batchChunks:  reg.Counter("markov.batch.chunks"),
-		batchCells:   reg.Counter("markov.batch.cells"),
-		batchSeconds: reg.Histogram("markov.batch.chunk_seconds", obs.ExpBuckets(1e-5, 4, 12)),
-		batchSize:    reg.Histogram("markov.batch.chunk_cells", obs.ExpBuckets(1, 4, 10)),
 	})
 }
 
@@ -119,23 +109,6 @@ func absorptionTimer(states int) func(residual float64) {
 		m.absorptionSeconds.Observe(time.Since(start).Seconds())
 		m.absorptionStates.Observe(float64(states))
 		m.residual.Set(residual)
-	}
-}
-
-// batchChunkTimer returns a stop function recording one batched solve
-// chunk (count, cells, wall time), or nil when instrumentation is off —
-// one observation per chunk, never per cell.
-func batchChunkTimer(cells int) func() {
-	m := instr.Load()
-	if m == nil {
-		return nil
-	}
-	start := time.Now()
-	return func() {
-		m.batchChunks.Inc()
-		m.batchCells.Add(int64(cells))
-		m.batchSize.Observe(float64(cells))
-		m.batchSeconds.Observe(time.Since(start).Seconds())
 	}
 }
 

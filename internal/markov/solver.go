@@ -210,8 +210,7 @@ func (s *Solver) assembleSparse(c *Chain) {
 	}
 }
 
-// topoCache is the MRU list of pattern→factorization entries shared by
-// Solver (per-cell solves) and BatchSolver (batched chunks).
+// topoCache is a Solver's MRU list of pattern→factorization entries.
 type topoCache []*topoEntry
 
 // lookupTopology returns the cached factorization whose pattern matches

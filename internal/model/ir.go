@@ -42,9 +42,8 @@ func IRChain(in closedform.IRInputs, k int) *markov.Chain {
 
 // buildIR adds the birth-death transitions. AddEdge keeps structural
 // edges at parameter corners, so the topology depends on k alone and
-// recycled chains refill in place. Like buildNIR, it emits into an
-// edgeSink so the refill program recorder replays the same order.
-func buildIR(c edgeSink, in closedform.IRInputs, k int) {
+// recycled chains refill in place.
+func buildIR(c *markov.Chain, in closedform.IRInputs, k int) {
 	n := float64(in.N)
 	lambda := in.LambdaN + in.LambdaArray
 	kk := combinat.CriticalFraction(in.N, in.R, k)

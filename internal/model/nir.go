@@ -59,10 +59,8 @@ func padLabel(stack string, k int) string {
 // stack, then recurses into its children. Edges are added with AddEdge —
 // kept even at a rate of exactly zero (e.g. h clamped to 1) — so the
 // chain's topology is a function of k alone and refills of a recycled
-// chain always land on existing edges. The sink is either the chain
-// itself or an edgeRecorder compiling the sweep refill program; both see
-// the identical emission order.
-func buildNIR(c edgeSink, in closedform.NIRInputs, k int, stack string) {
+// chain always land on existing edges.
+func buildNIR(c *markov.Chain, in closedform.NIRInputs, k int, stack string) {
 	j := len(stack)
 	label := padLabel(stack, k)
 	n := float64(in.N) - float64(j)

@@ -10,7 +10,7 @@ import (
 // have one topology — the same states and the same edge set, with rates
 // that are functions of the parameters (builders add structural edges
 // with AddEdge, so even a parameter corner that zeroes a rate does not
-// change the pattern). Sweeps therefore rebuild the same frozen CSR
+// change the pattern). Repeated analyses therefore rebuild the same frozen CSR
 // skeleton thousands of times; the pools below let callers hand a chain
 // back (ReleaseChain) so the next build of the same family only refills
 // the rates. Refilled chains are bit-identical to freshly built ones

@@ -42,11 +42,10 @@ func benchBase() params.Parameters {
 }
 
 // BenchmarkPlanSearch contrasts the production two-phase search
-// (closed-form prune + topology-grouped batch confirmation) against the
-// exhaustive baseline that solves every feasible candidate's chain
-// per-cell. Both produce the identical ranked frontier
-// (TestSearchPruneMatchesExhaustive, TestSearchBatchMatchesPerCell);
-// only wall-clock differs. Single-core (workers=1) so the headline
+// (closed-form prune + chunked recurrence confirmation) against the
+// exhaustive baseline that confirms every feasible candidate. Both
+// produce the identical ranked frontier
+// (TestSearchPruneMatchesExhaustive); only wall-clock differs. Single-core (workers=1) so the headline
 // measures the algorithm, not the fan-out.
 func BenchmarkPlanSearch(b *testing.B) {
 	base := benchBase()
@@ -69,10 +68,10 @@ func BenchmarkPlanSearch(b *testing.B) {
 			}
 		}
 	}
-	b.Run("candidates=10800/pruned+batched", func(b *testing.B) {
+	b.Run("candidates=10800/pruned", func(b *testing.B) {
 		run(b, Options{})
 	})
-	b.Run("candidates=10800/exhaustive-percell", func(b *testing.B) {
-		run(b, Options{DisablePrune: true, DisableBatch: true})
+	b.Run("candidates=10800/exhaustive", func(b *testing.B) {
+		run(b, Options{DisablePrune: true})
 	})
 }

@@ -13,7 +13,8 @@ import (
 const conservativeSamples = 500
 
 // The filter's soundness rests on one empirical property: the exact
-// chain result always lands inside the closed form's GuardBand
+// result (the recurrences' solution of the chain, which the search
+// confirms with) always lands inside the closed form's GuardBand
 // envelope, exact/cf ∈ [1/GuardBand, GuardBand]. Given that inclusion,
 // the target filter only discards provable misses (exact ≥ cf/γ >
 // target) and the dominance filter only discards candidates another
@@ -45,7 +46,7 @@ func TestClosedFormFilterConservative(t *testing.T) {
 		if err != nil {
 			continue // infeasible geometry — the optimizer skips these too
 		}
-		exact, err := core.Analyze(p, cfg, core.MethodExactChain)
+		exact, err := core.Analyze(p, cfg, core.MethodExactStable)
 		if err != nil {
 			t.Fatalf("exact analysis of %v %+v: %v", cfg, p, err)
 		}

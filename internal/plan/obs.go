@@ -31,10 +31,10 @@ var instr atomic.Pointer[searchMetrics]
 
 // Instrument routes optimizer telemetry into reg: per-search wall time,
 // the candidate accounting (enumerated / infeasible / pruned by target /
-// pruned by dominance / exactly confirmed), the topology-group batching
-// (group count and cells per group — the factorization reuse the batch
-// solver gets), and the most recent search's prune ratio and frontier
-// size. Pass nil to disable again.
+// pruned by dominance / exactly confirmed), the configuration groups
+// confirmation is chunked by (plan.batch.groups and cells per group),
+// and the most recent search's prune ratio and frontier size. Pass nil
+// to disable again.
 func Instrument(reg *obs.Registry) {
 	if reg == nil {
 		instr.Store(nil)
@@ -80,8 +80,8 @@ func searchTimer() func(st Stats) {
 	}
 }
 
-// observeGroupCells records the size of one topology group — the number
-// of cells that shared a single symbolic factorization.
+// observeGroupCells records the size of one configuration group — the
+// number of confirmed cells sharing one (internal, fault tolerance).
 func observeGroupCells(n int) {
 	if m := instr.Load(); m != nil {
 		m.groupCells.Observe(float64(n))

@@ -4,9 +4,8 @@
 // (internal RAID level × inter-node fault tolerance × redundancy-set
 // size × spare nodes × capacity utilization × rebuild block size),
 // prune it with the paper's closed-form approximations as a cheap
-// admissible filter, then confirm every survivor exactly by batching
-// the sparse chain solves through markov.BatchSolver grouped by frozen
-// topology. The output is the exact Pareto frontier on
+// admissible filter, then confirm every survivor exactly through the
+// appendix recurrences. The output is the exact Pareto frontier on
 // (cost, capacity, reliability), ranked deterministically: bit-identical
 // at any worker count, per the analysis layer's parallelism contract.
 package plan
@@ -164,16 +163,13 @@ func (c Constraints) Validate() error {
 }
 
 // Options tune how the search runs; the zero value is the production
-// configuration. Both Disable knobs exist for benchmarking and for
-// tests that prove the fast path changes nothing — results are
-// identical (same frontier, same ranking) with either set.
+// configuration. DisablePrune exists for benchmarking and for tests that
+// prove pruning changes nothing — results are identical (same frontier,
+// same ranking) with it set.
 type Options struct {
 	// DisablePrune confirms every feasible candidate exactly instead of
 	// closed-form filtering first (the exhaustive baseline).
 	DisablePrune bool `json:"disable_prune,omitempty"`
-	// DisableBatch confirms survivors through per-cell chain solves
-	// instead of the batched SoA solver.
-	DisableBatch bool `json:"disable_batch,omitempty"`
 	// Top truncates the ranked frontier to at most this many entries
 	// after ranking (0 = no truncation). Stats always describe the full
 	// search.
@@ -204,7 +200,8 @@ type Candidate struct {
 	CapacityPB float64 `json:"capacity_pb"`
 	// BoundEventsPerPBYear is the closed-form estimate used for pruning.
 	BoundEventsPerPBYear float64 `json:"bound_events_per_pb_year"`
-	// ExactEventsPerPBYear is the exact sparse-chain result; set only
+	// ExactEventsPerPBYear is the exact result (the recurrences'
+	// solution of the chain, core.MethodExactStable); set only
 	// when Confirmed.
 	ExactEventsPerPBYear float64 `json:"exact_events_per_pb_year,omitempty"`
 	// MarginVsTarget is target/exact (values above 1 meet the target);
@@ -244,9 +241,9 @@ type Stats struct {
 	PrunedDominated int `json:"pruned_dominated"`
 	// Confirmed candidates were solved exactly.
 	Confirmed int `json:"confirmed"`
-	// TopologyGroups is the number of distinct frozen chain topologies
-	// the confirmed candidates batched into — each group shares one
-	// symbolic factorization.
+	// TopologyGroups is the number of distinct configurations
+	// (internal, fault tolerance) among the confirmed candidates — the
+	// groups confirmation is chunked by.
 	TopologyGroups int `json:"topology_groups"`
 	// FrontierSize is the number of exactly-confirmed candidates on the
 	// Pareto frontier.

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -115,43 +116,70 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 // the closed-form filter on equals the frontier of the exhaustive
 // search that confirms every feasible candidate exactly. This is the
 // end-to-end form of the conservativeness property — the filter never
-// discards a candidate the exact frontier wanted.
+// discards a candidate the exact frontier wanted. It is checked on the
+// stock slice and on the deep fault-tolerance space (NIR ft 4–6) at
+// several targets, where the closed forms stray furthest.
 func TestSearchPruneMatchesExhaustive(t *testing.T) {
-	base := params.Baseline()
-	space := testSpace()
-	pruned, err := Search(base, space, Constraints{}, Options{})
-	if err != nil {
-		t.Fatalf("pruned search: %v", err)
+	cases := []struct {
+		name  string
+		base  params.Parameters
+		space Space
+		cons  Constraints
+	}{
+		{"stock", params.Baseline(), testSpace(), Constraints{}},
 	}
-	exhaustive, err := Search(base, space, Constraints{}, Options{DisablePrune: true})
-	if err != nil {
-		t.Fatalf("exhaustive search: %v", err)
+	for _, target := range []float64{1e-4, 1e-3, 1e-2} {
+		cases = append(cases, struct {
+			name  string
+			base  params.Parameters
+			space Space
+			cons  Constraints
+		}{fmt.Sprintf("deep/target=%g", target), benchBase(), benchSpace(), Constraints{TargetEventsPerPBYear: target}})
 	}
-	if exhaustive.Stats.Confirmed <= pruned.Stats.Confirmed {
-		t.Errorf("exhaustive confirmed %d <= pruned %d — prune did nothing",
-			exhaustive.Stats.Confirmed, pruned.Stats.Confirmed)
-	}
-	if !reflect.DeepEqual(pruned.Frontier, exhaustive.Frontier) {
-		t.Errorf("pruned frontier (%d) differs from exhaustive frontier (%d)",
-			len(pruned.Frontier), len(exhaustive.Frontier))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pruned, err := Search(tc.base, tc.space, tc.cons, Options{})
+			if err != nil {
+				t.Fatalf("pruned search: %v", err)
+			}
+			exhaustive, err := Search(tc.base, tc.space, tc.cons, Options{DisablePrune: true})
+			if err != nil {
+				t.Fatalf("exhaustive search: %v", err)
+			}
+			if exhaustive.Stats.Confirmed <= pruned.Stats.Confirmed {
+				t.Errorf("exhaustive confirmed %d <= pruned %d — prune did nothing",
+					exhaustive.Stats.Confirmed, pruned.Stats.Confirmed)
+			}
+			if len(pruned.Frontier) == 0 {
+				t.Error("empty frontier: the case checks nothing")
+			}
+			if !reflect.DeepEqual(pruned.Frontier, exhaustive.Frontier) {
+				t.Errorf("pruned frontier (%d) differs from exhaustive frontier (%d)",
+					len(pruned.Frontier), len(exhaustive.Frontier))
+			}
+		})
 	}
 }
 
-// Batching is pure mechanism: per-cell confirmation produces the
-// bit-identical result.
+// Chunked confirmation is pure mechanism: every confirmed candidate's
+// exact value is bit-identical to its own per-cell
+// core.AnalyzeCtx(MethodExactStable) call.
 func TestSearchBatchMatchesPerCell(t *testing.T) {
-	base := params.Baseline()
-	space := testSpace()
-	batched, err := Search(base, space, Constraints{}, Options{})
+	res, err := Search(params.Baseline(), testSpace(), Constraints{}, Options{DisablePrune: true})
 	if err != nil {
-		t.Fatalf("batched search: %v", err)
+		t.Fatalf("search: %v", err)
 	}
-	perCell, err := Search(base, space, Constraints{}, Options{DisableBatch: true})
-	if err != nil {
-		t.Fatalf("per-cell search: %v", err)
+	if len(res.Frontier) == 0 {
+		t.Fatal("empty frontier")
 	}
-	if !reflect.DeepEqual(batched, perCell) {
-		t.Error("batched search differs from per-cell confirmation")
+	for i, c := range res.Frontier {
+		ref, err := core.AnalyzeCtx(context.Background(), c.Params(), c.Config(), core.MethodExactStable)
+		if err != nil {
+			t.Fatalf("frontier[%d]: %v", i, err)
+		}
+		if c.ExactEventsPerPBYear != ref.EventsPerPBYear {
+			t.Errorf("frontier[%d] exact %v != per-cell %v", i, c.ExactEventsPerPBYear, ref.EventsPerPBYear)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 )
 
 // confirmChunkCells caps the cells per confirmation work unit, so a
-// handful of large topology groups still spreads across the worker
+// handful of large configuration groups still spreads across the worker
 // pool. Like the sweep engine's chunk size it is purely a scheduling
 // knob: every chunk writes caller-indexed slots, so results are
 // identical at any value.
@@ -37,25 +37,22 @@ func Search(base params.Parameters, space Space, cons Constraints, opt Options) 
 //     — its optimistic edge already misses the target, or another
 //     candidate is at least as cheap and as large with a pessimistic
 //     edge strictly better than this one's optimistic edge.
-//  3. Confirm every survivor exactly: survivors are grouped by
-//     (internal, fault tolerance) — the only knobs that shape the chain
-//     topology — so each group batches through one bound
-//     markov.BatchSolver sharing a single symbolic factorization, with
-//     chunks fanned across the deterministic worker pool.
+//  3. Confirm every survivor exactly through the appendix recurrences
+//     (core.MethodExactStable): survivors are grouped by (internal,
+//     fault tolerance) and cut into chunks fanned across the
+//     deterministic worker pool.
 //  4. Rank the exact Pareto frontier on (cost ↓, capacity ↑, events ↓)
 //     among confirmed candidates that meet the target.
 //
 // Enumeration order fixes every candidate's Index, all results land in
 // caller-indexed slots, and every sort uses a total order ending in
 // Index, so the ranked frontier is bit-identical at any worker count
-// and with pruning or batching disabled (Options) — only the time
-// changes.
+// and with pruning disabled (Options) — only the time changes.
 //
 // Errors: an invalid base, space or constraints fails fast; a survivor
 // whose exact confirmation fails reports the lowest-indexed failing
 // candidate (candidates whose closed form is already beyond float64 are
-// classed infeasible up front — the exact dense solve cannot represent
-// them either).
+// classed infeasible up front).
 func SearchCtx(ctx context.Context, base params.Parameters, space Space, cons Constraints, opt Options) (*Result, error) {
 	if err := base.Validate(); err != nil {
 		return nil, err
@@ -86,7 +83,7 @@ func SearchCtx(ctx context.Context, base params.Parameters, space Space, cons Co
 	} else {
 		surv = prune(ctx, cands, res.TargetEventsPerPBYear, st)
 	}
-	if err := confirm(ctx, cands, surv, res.TargetEventsPerPBYear, opt, st); err != nil {
+	if err := confirm(ctx, cands, surv, res.TargetEventsPerPBYear, st); err != nil {
 		return nil, err
 	}
 
@@ -295,23 +292,16 @@ func dominancePrune(cands []Candidate, kept []int) []bool {
 	return dominated
 }
 
-// confirm solves every survivor exactly, writing results back into
-// cands. Survivors are in enumeration order, so candidates sharing a
-// chain topology — a function of (internal, fault tolerance) alone —
-// are contiguous; each such group batches through one bound solver,
-// split into chunks fanned over the worker pool. Error semantics mirror
-// the sweep engine: the lowest-indexed failing candidate is reported,
-// and the per-candidate cause is identical between the batched and
-// per-cell paths.
-func confirm(ctx context.Context, cands []Candidate, surv []int, target float64, opt Options, st *Stats) error {
+// confirm solves every survivor exactly through the recurrences,
+// writing results back into cands. Survivors are in enumeration order,
+// so candidates sharing a configuration are contiguous; each such group
+// is split into chunks fanned over the worker pool. The lowest-indexed
+// failing candidate is reported, as in the sweep engine.
+func confirm(ctx context.Context, cands []Candidate, surv []int, target float64, st *Stats) error {
 	_, sp := obs.StartSpan(ctx, "plan.confirm")
 	defer sp.End()
 	if len(surv) == 0 {
 		return nil
-	}
-	ps := make([]params.Parameters, len(surv))
-	for i, ci := range surv {
-		ps[i] = cands[ci].params
 	}
 	out := make([]core.Result, len(surv))
 
@@ -329,11 +319,7 @@ func confirm(ctx context.Context, cands []Candidate, surv []int, target float64,
 		st.TopologyGroups++
 		observeGroupCells(hi - lo)
 		for a := lo; a < hi; a += confirmChunkCells {
-			b := a + confirmChunkCells
-			if b > hi {
-				b = hi
-			}
-			chunks = append(chunks, chunkSpec{cfg: cfg, lo: a, hi: b})
+			chunks = append(chunks, chunkSpec{cfg: cfg, lo: a, hi: min(a+confirmChunkCells, hi)})
 		}
 		lo = hi
 	}
@@ -345,44 +331,28 @@ func confirm(ctx context.Context, cands []Candidate, surv []int, target float64,
 		firstIdx = len(surv)
 		firstErr error
 	)
-	record := func(i int, err error) {
-		mu.Lock()
-		if i < firstIdx {
-			firstIdx, firstErr = i, err
-		}
-		mu.Unlock()
-	}
-
-	var rerr error
-	if opt.DisableBatch {
-		rerr = core.RunIndexedCtx(ctx, len(surv), func(i int) error {
-			r, err := core.AnalyzeCtx(ctx, ps[i], cands[surv[i]].Config(), core.MethodExactChain)
+	rerr := core.RunIndexedCtx(ctx, len(chunks), func(k int) error {
+		ch := chunks[k]
+		for i := ch.lo; i < ch.hi; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			r, err := core.AnalyzeCtx(ctx, cands[surv[i]].params, ch.cfg, core.MethodExactStable)
 			if err != nil {
-				record(i, err)
+				mu.Lock()
+				if i < firstIdx {
+					firstIdx, firstErr = i, err
+				}
+				mu.Unlock()
 				return nil
 			}
 			out[i] = r
-			return nil
-		})
-	} else {
-		rerr = core.RunIndexedCtx(ctx, len(chunks), func(k int) error {
-			ch := chunks[k]
-			idx, err := core.AnalyzeChainBatchCtx(ctx, ch.cfg, ps[ch.lo:ch.hi], out[ch.lo:ch.hi])
-			if err != nil {
-				if idx < 0 {
-					return err // cancellation: propagate as-is
-				}
-				record(ch.lo+idx, err)
-			}
-			return nil
-		})
-	}
-	mu.Lock()
-	idx, err := firstIdx, firstErr
-	mu.Unlock()
-	if err != nil {
-		c := &cands[surv[idx]]
-		return fmt.Errorf("plan: confirming candidate %d (%v): %w", c.Index, c.Config(), err)
+		}
+		return nil
+	})
+	if firstErr != nil {
+		c := &cands[surv[firstIdx]]
+		return fmt.Errorf("plan: confirming candidate %d (%v): %w", c.Index, c.Config(), firstErr)
 	}
 	if rerr != nil {
 		return rerr

@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"sync"
 
 	"repro/internal/obs"
@@ -28,6 +29,10 @@ type cacheEntry struct {
 // completion, waiters observe the error and re-run the election, so one
 // request's cancellation cannot poison the key for everyone else.
 //
+// A solve that panics is contained the same way: the leader recovers,
+// removes the entry, wakes its waiters (who re-elect) and returns a
+// *solvePanic error, so one panicking body cannot wedge its key.
+//
 // Only completed successful entries occupy LRU capacity; in-flight
 // entries are bounded by the server's solve semaphore, not the cache.
 type resultCache struct {
@@ -38,13 +43,14 @@ type resultCache struct {
 
 	// hits counts requests served without solving (cached or deduped onto
 	// an in-flight solve); misses counts solve elections; evictions
-	// counts completed entries dropped for capacity.
-	hits, misses, evictions *obs.Counter
+	// counts completed entries dropped for capacity; panics counts
+	// solves that panicked.
+	hits, misses, evictions, panics *obs.Counter
 }
 
 // newResultCache returns a cache holding at most max completed results.
 // The counters must be non-nil (the server always registers them).
-func newResultCache(max int, hits, misses, evictions *obs.Counter) *resultCache {
+func newResultCache(max int, hits, misses, evictions, panics *obs.Counter) *resultCache {
 	if max < 1 {
 		max = 1
 	}
@@ -55,8 +61,14 @@ func newResultCache(max int, hits, misses, evictions *obs.Counter) *resultCache 
 		hits:      hits,
 		misses:    misses,
 		evictions: evictions,
+		panics:    panics,
 	}
 }
+
+// solvePanic is the error a leader returns when its solve panicked.
+type solvePanic struct{ value any }
+
+func (p *solvePanic) Error() string { return fmt.Sprintf("solve panicked: %v", p.value) }
 
 // do returns the cached body for key, deduplicating concurrent callers:
 // at most one caller at a time runs solve for a key, everyone else waits
@@ -107,12 +119,24 @@ func (c *resultCache) do(ctx context.Context, key string, solve func() ([]byte, 
 		c.entries[key] = e
 		c.mu.Unlock()
 		c.misses.Inc()
+		body, err := c.lead(e, solve)
+		return body, false, err
+	}
+}
 
-		body, err := solve()
-
+// lead runs the leader's solve and publishes its outcome to e's waiters.
+// The publication is deferred, so it also runs when solve panics: the
+// panic becomes a *solvePanic error, and the entry is removed like any
+// failure before done closes.
+func (c *resultCache) lead(e *cacheEntry, solve func() ([]byte, error)) (body []byte, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			c.panics.Inc()
+			body, err = nil, &solvePanic{value: v}
+		}
 		c.mu.Lock()
 		if err != nil {
-			delete(c.entries, key) // failures are never cached
+			delete(c.entries, e.key) // failures are never cached
 		} else {
 			e.body = body
 			e.elem = c.lru.PushFront(e)
@@ -121,8 +145,8 @@ func (c *resultCache) do(ctx context.Context, key string, solve func() ([]byte, 
 		e.err = err
 		c.mu.Unlock()
 		close(e.done)
-		return body, false, err
-	}
+	}()
+	return solve()
 }
 
 // evictOver drops least-recently-used completed entries until the cache

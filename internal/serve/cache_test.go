@@ -18,7 +18,8 @@ func newTestCache(max int) (*resultCache, *obs.Registry) {
 	c := newResultCache(max,
 		reg.Counter("serve.cache.hits"),
 		reg.Counter("serve.cache.misses"),
-		reg.Counter("serve.cache.evictions"))
+		reg.Counter("serve.cache.evictions"),
+		reg.Counter("serve.panics"))
 	return c, reg
 }
 
@@ -130,6 +131,58 @@ func TestCacheLeaderFailureDoesNotPoison(t *testing.T) {
 		t.Errorf("cache holds %d entries, want 1 (the recovered result)", c.len())
 	}
 	// The key must now be a plain cache hit.
+	body, hit, err := c.do(context.Background(), "k", func() ([]byte, error) {
+		t.Error("cached key re-solved")
+		return nil, nil
+	})
+	if err != nil || !hit || string(body) != "recovered" {
+		t.Errorf("post-recovery lookup: body %q hit %v err %v", body, hit, err)
+	}
+}
+
+// A panicking solve must not wedge its key: the leader recovers, drops
+// the entry, returns a *solvePanic and wakes its waiters, who re-elect a
+// leader instead of blocking until their own deadlines.
+func TestCacheLeaderPanicDoesNotPoison(t *testing.T) {
+	c, reg := newTestCache(16)
+	leaderStarted := make(chan struct{})
+	leaderPanic := make(chan struct{})
+
+	var leaderErr, waiterErr error
+	var waiterBody []byte
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_, _, leaderErr = c.do(context.Background(), "k", func() ([]byte, error) {
+			close(leaderStarted)
+			<-leaderPanic
+			panic("solver bug")
+		})
+	}()
+	go func() {
+		defer wg.Done()
+		<-leaderStarted // dedup onto the panicking leader
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		waiterBody, _, waiterErr = c.do(ctx, "k", func() ([]byte, error) {
+			return []byte("recovered"), nil
+		})
+	}()
+	time.Sleep(20 * time.Millisecond)
+	close(leaderPanic)
+	wg.Wait()
+
+	var sp *solvePanic
+	if !errors.As(leaderErr, &sp) || sp.value != "solver bug" {
+		t.Fatalf("leader err = %v, want a solvePanic carrying the panic value", leaderErr)
+	}
+	if waiterErr != nil || string(waiterBody) != "recovered" {
+		t.Fatalf("waiter = (%q, %v), want the re-elected solve's result", waiterBody, waiterErr)
+	}
+	if n := reg.Counter("serve.panics").Value(); n != 1 {
+		t.Errorf("serve.panics = %d, want 1", n)
+	}
 	body, hit, err := c.do(context.Background(), "k", func() ([]byte, error) {
 		t.Error("cached key re-solved")
 		return nil, nil

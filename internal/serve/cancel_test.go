@@ -7,15 +7,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
-// slowSweepBody builds a sweep that takes seconds on this machine: wide
-// redundancy sets (r=48) at ft=7 make each exact-chain cell ~100µs (the
-// 255-state chain rides the sparse topology-reuse path), and tens of
-// thousands of drive-MTTF values stack those into a multi-second grid
-// with per-cell cancellation granularity.
+// slowSweepBody builds an exact-chain sweep over n drive-MTTF values
+// (200000, 200001, …) at wide redundancy sets (r=48) and ft=7. Exact
+// sweeps run on the recurrences at about a microsecond per cell, so a
+// test that needs the sweep to be still running holds it with a
+// cellGate rather than relying on its size.
 func slowSweepBody(n int) string {
 	vals := make([]string, n)
 	for i := range vals {
@@ -28,14 +32,65 @@ func slowSweepBody(n int) string {
 		"values":[` + strings.Join(vals, ",") + `]}`
 }
 
+// cellGate is a Server.cellHook that holds the sweep cell at x == at
+// until the gate is released or the solve's context is cancelled, and
+// counts the cells that run after the cancellation — the measure of how
+// promptly a cancelled sweep stops.
+type cellGate struct {
+	at       float64
+	reached  chan struct{}
+	release  chan struct{}
+	once     sync.Once
+	late     atomic.Int64
+	released sync.Once
+}
+
+func newCellGate(at float64) *cellGate {
+	return &cellGate{at: at, reached: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *cellGate) hook(ctx context.Context, x float64) {
+	if ctx.Err() != nil {
+		g.late.Add(1)
+	}
+	if x != g.at {
+		return
+	}
+	g.once.Do(func() { close(g.reached) })
+	select {
+	case <-ctx.Done():
+	case <-g.release:
+	}
+}
+
+func (g *cellGate) open() { g.released.Do(func() { close(g.release) }) }
+
+// wait blocks until the gated cell is running.
+func (g *cellGate) wait(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.reached:
+	case <-time.After(10 * time.Second):
+		t.Fatal("sweep never reached the gated cell")
+	}
+}
+
+// maxLateCells bounds the cells a cancelled sweep may still run: each
+// worker stops within one context-poll interval of 16 cells.
+func maxLateCells() int64 { return int64(16 * core.MaxWorkers()) }
+
 // TestSweepCancellationFreesSlotAndCache is the acceptance-criteria
-// cancellation test: a slow sweep whose client disconnects must stop
-// promptly (worker slot freed, in-flight gauge back to zero) and must
-// not poison the cache — the next request for the same key re-solves.
+// cancellation test: a sweep held mid-grid whose client disconnects must
+// stop promptly (worker slot freed, in-flight gauge back to zero) and
+// must not poison the cache — the next request for the same key
+// re-solves.
 func TestSweepCancellationFreesSlotAndCache(t *testing.T) {
 	s := New(Options{MaxGridCells: 65536})
+	gate := newCellGate(200_000 + 16384)
+	s.cellHook = gate.hook
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
+	defer gate.open()
 
 	inflight := s.Registry().Gauge("serve.inflight")
 	body := slowSweepBody(32768)
@@ -47,7 +102,6 @@ func TestSweepCancellationFreesSlotAndCache(t *testing.T) {
 	}
 	req.Header.Set("Content-Type", "application/json")
 	errc := make(chan error, 1)
-	start := time.Now()
 	go func() {
 		resp, err := http.DefaultClient.Do(req)
 		if err == nil {
@@ -57,19 +111,25 @@ func TestSweepCancellationFreesSlotAndCache(t *testing.T) {
 		errc <- err
 	}()
 
-	// Wait until the solve is actually running, then pull the plug.
-	waitFor(t, 10*time.Second, func() bool { return inflight.Value() >= 1 })
+	// Wait until the solve is held mid-grid, then pull the plug.
+	gate.wait(t)
+	if g := inflight.Value(); g < 1 {
+		t.Fatalf("inflight gauge = %v while the sweep is held, want >= 1", g)
+	}
+	start := time.Now()
 	cancel()
 	if err := <-errc; !strings.Contains(err.Error(), "context canceled") {
 		t.Fatalf("client error = %v, want context canceled", err)
 	}
 
-	// The solver must notice within a couple of cells, not after the
-	// remaining ~4s of grid. Allow generous slack for a loaded machine
-	// while still catching a run-to-completion regression.
+	// The solver must notice within a poll interval per worker, not
+	// after the remaining half of the grid.
 	waitFor(t, 2*time.Second, func() bool { return inflight.Value() == 0 })
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Errorf("cancellation took %v end to end; the sweep likely ran to completion", elapsed)
+	}
+	if n := gate.late.Load(); n > maxLateCells() {
+		t.Errorf("%d cells ran after cancellation, want at most %d", n, maxLateCells())
 	}
 	if n := s.CacheLen(); n != 0 {
 		t.Errorf("cache holds %d entries after a cancelled solve, want 0", n)
@@ -95,6 +155,9 @@ func TestShutdownCancelsOrphanedSolve(t *testing.T) {
 	// serve.Server's base context, so run the real Serve/Shutdown pair
 	// on an ephemeral listener.
 	s := New(Options{MaxGridCells: 65536})
+	gate := newCellGate(200_000 + 16384)
+	s.cellHook = gate.hook
+	defer gate.open()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -111,10 +174,13 @@ func TestShutdownCancelsOrphanedSolve(t *testing.T) {
 		}
 		errc <- err
 	}()
-	waitFor(t, 10*time.Second, func() bool { return inflight.Value() >= 1 })
+	gate.wait(t)
+	if g := inflight.Value(); g < 1 {
+		t.Fatalf("inflight gauge = %v while the sweep is held, want >= 1", g)
+	}
 
-	// Drain window far shorter than the sweep: Shutdown must time out,
-	// cancel the base context, and the solve must wind down.
+	// Drain window far shorter than the held sweep: Shutdown must time
+	// out, cancel the base context, and the solve must wind down.
 	sctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if err := s.Shutdown(sctx); err != context.DeadlineExceeded {
@@ -122,6 +188,9 @@ func TestShutdownCancelsOrphanedSolve(t *testing.T) {
 	}
 	waitFor(t, 2*time.Second, func() bool { return inflight.Value() == 0 })
 	<-errc // client saw the 503 or a connection reset; either way it returned
+	if n := gate.late.Load(); n > maxLateCells() {
+		t.Errorf("%d cells ran after the base context was cancelled, want at most %d", n, maxLateCells())
+	}
 	if n := s.CacheLen(); n != 0 {
 		t.Errorf("cache holds %d entries after shutdown-cancelled solve, want 0", n)
 	}

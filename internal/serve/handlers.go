@@ -139,6 +139,14 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 		csp.End()
 	}
 	if err != nil {
+		var sp *solvePanic
+		if errors.As(err, &sp) {
+			// A bug, not a rejected input: the cache has already dropped
+			// the key, so the request ID is what ties the reply to logs.
+			s.writeError(w, http.StatusInternalServerError,
+				fmt.Errorf("internal error (request %s): %v", w.Header().Get("X-Request-ID"), err))
+			return
+		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// The client is gone (or the server is draining); nobody is
 			// listening for a body. 503 documents the outcome for any
@@ -237,8 +245,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCached(w, r, key, func(ctx context.Context) ([]byte, error) {
-		apply := sweepKnobs[job.Parameter]
-		points, err := core.SweepCtx(ctx, job.Params, job.Configs, job.Method, job.Values, apply)
+		points, err := core.SweepCtx(ctx, job.Params, job.Configs, job.Method, job.Values, s.sweepApply(ctx, job.Parameter))
 		if err != nil {
 			return nil, err
 		}
@@ -252,6 +259,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		return json.Marshal(resp)
 	})
+}
+
+// sweepApply returns the installer of the swept parameter, wrapped in
+// the test cell hook when one is set.
+func (s *Server) sweepApply(ctx context.Context, parameter string) func(*params.Parameters, float64) {
+	apply := sweepKnobs[parameter]
+	if hook := s.cellHook; hook != nil {
+		return func(p *params.Parameters, x float64) {
+			hook(ctx, x)
+			apply(p, x)
+		}
+	}
+	return apply
 }
 
 // sweepPointResponseFrom renders one solved sweep point as its wire row.
@@ -372,7 +392,7 @@ func (s *Server) handleSimulateFleet(w http.ResponseWriter, r *http.Request, req
 // plan.Result JSON — stats partition, effective target, and the ranked
 // exact Pareto frontier. The search is deterministic at any worker
 // count, so the cached bytes equal a fresh solve's, and its hot loops
-// (enumeration, batched confirmation) poll the request context, so a
+// (enumeration, chunked confirmation) poll the request context, so a
 // dead client stops the search mid-space and caches nothing.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if !s.requirePost(w, r) {

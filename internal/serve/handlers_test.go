@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,7 +10,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/core"
 )
 
 func postJSON(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRecorder {
@@ -311,50 +316,103 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// TestSparseCountersSurfaceInMetrics drives a sweep big enough to ride
-// the sparse CTMC path (r=48 at ft=7 is a 255-state chain, past the
-// crossover) and checks the markov.sparse.* instrumentation shows up in
-// /metrics: every cell is a sparse solve, and after the first few cells
-// the symbolic factorization is reused, not rebuilt.
+// TestSparseCountersSurfaceInMetrics checks which solver path /metrics
+// reports. An exact-chain sweep runs on the recurrences: every cell
+// lands on core.sweep.recurrence_cells and none touches the sparse
+// solver. An exact-chain analysis wide enough for the sparse CTMC path
+// (r=48 at ft=7 is a 255-state chain, past the crossover) shows up on
+// the markov.sparse.* counters with one symbolic lookup.
 func TestSparseCountersSurfaceInMetrics(t *testing.T) {
 	s := New(Options{})
 	h := s.Handler()
-	postJSON(t, h, "/v1/sweep", slowSweepBody(64))
+	counters := func() map[string]int64 {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics?format=json", nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("metrics: %d", w.Code)
+		}
+		var snap struct {
+			Counters map[string]int64 `json:"counters"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &snap); err != nil {
+			t.Fatalf("metrics not JSON: %v", err)
+		}
+		return snap.Counters
+	}
 
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics?format=json", nil))
-	if w.Code != http.StatusOK {
-		t.Fatalf("metrics: %d", w.Code)
+	if w := postJSON(t, h, "/v1/sweep", slowSweepBody(64)); w.Code != http.StatusOK {
+		t.Fatalf("sweep: %d %s", w.Code, w.Body.String())
 	}
-	var snap struct {
-		Counters map[string]int64 `json:"counters"`
+	c := counters()
+	if c["core.sweep.recurrence_cells"] != 64 {
+		t.Errorf("core.sweep.recurrence_cells = %d, want 64 (every sweep cell on the recurrences)", c["core.sweep.recurrence_cells"])
 	}
-	if err := json.Unmarshal(w.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("metrics not JSON: %v", err)
+	if c["markov.sparse.solves"] != 0 {
+		t.Errorf("markov.sparse.solves = %d after an exact sweep, want 0", c["markov.sparse.solves"])
 	}
-	c := snap.Counters
-	if c["markov.sparse.solves"] < 64 {
-		t.Errorf("markov.sparse.solves = %d, want >= 64 (one per sweep cell)", c["markov.sparse.solves"])
+
+	if w := postJSON(t, h, "/v1/analyze", `{"params":{"redundancy_set_size":48},
+		"config":{"internal":"none","ft":7},"method":"exact-chain"}`); w.Code != http.StatusOK {
+		t.Fatalf("analyze: %d %s", w.Code, w.Body.String())
 	}
-	// The batched engine binds the shared topology once per chunk, so
-	// the symbolic cache sees one lookup per chunk — not per cell as the
-	// per-cell path does. Chunk count depends on the worker pool (the
-	// chunk shrinks to spread cells across CPUs), so tie the lookup
-	// count to the chunk counter rather than a constant. Earlier tests
-	// in this binary may have warmed the pooled solvers' caches (their
-	// builds landed in other registries), so assert the sum, not the
-	// build/reuse split.
-	chunks := c["markov.batch.chunks"]
-	if chunks < 1 {
-		t.Errorf("markov.batch.chunks = %d, want >= 1 (batching is the sweep default)", chunks)
+	c = counters()
+	if c["markov.sparse.solves"] != 1 {
+		t.Errorf("markov.sparse.solves = %d, want 1 (one exact-chain analysis)", c["markov.sparse.solves"])
 	}
-	if c["markov.batch.cells"] != 64 {
-		t.Errorf("markov.batch.cells = %d, want 64 (every cell through the batch path)", c["markov.batch.cells"])
-	}
-	if got := c["markov.sparse.symbolic_builds"] + c["markov.sparse.symbolic_reuse"]; got != chunks {
-		t.Errorf("symbolic_builds+symbolic_reuse = %d, want %d (one lookup per chunk)", got, chunks)
+	// Earlier tests in this binary may have warmed the pooled solvers'
+	// caches (their builds landed in other registries), so assert the
+	// sum, not the build/reuse split.
+	if got := c["markov.sparse.symbolic_builds"] + c["markov.sparse.symbolic_reuse"]; got != 1 {
+		t.Errorf("symbolic_builds+symbolic_reuse = %d, want 1 (one lookup per solve)", got)
 	}
 	if c["markov.sparse.dense_fallbacks"] != 0 {
 		t.Errorf("markov.sparse.dense_fallbacks = %d, want 0 on this well-conditioned grid", c["markov.sparse.dense_fallbacks"])
+	}
+}
+
+// A solve that panics — here in a sweep cell on a core worker goroutine
+// — answers 500 with the request ID, is counted in serve.panics, frees
+// its solve slot, and leaves its key solvable: the next identical
+// request succeeds instead of waiting on a dead leader.
+func TestSolvePanicIs500AndDoesNotWedgeKey(t *testing.T) {
+	core.SetMaxWorkers(4)
+	defer core.SetMaxWorkers(0)
+	s := New(Options{})
+	var fired atomic.Bool
+	s.cellHook = func(context.Context, float64) {
+		if fired.CompareAndSwap(false, true) {
+			panic("solver bug")
+		}
+	}
+	h := s.Handler()
+	body := slowSweepBody(8)
+
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body))
+	req.Header.Set("X-Request-ID", "panic-probe-1")
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking solve: status %d %s, want 500", w.Code, w.Body.String())
+	}
+	if !strings.Contains(w.Body.String(), "panic-probe-1") || !strings.Contains(w.Body.String(), "solver bug") {
+		t.Errorf("500 body %q does not carry the request ID and panic", w.Body.String())
+	}
+	if n := s.Registry().Counter("serve.panics").Value(); n != 1 {
+		t.Errorf("serve.panics = %d, want 1", n)
+	}
+	if g := s.Registry().Gauge("serve.inflight").Value(); g != 0 {
+		t.Errorf("serve.inflight = %v after the panic, want 0", g)
+	}
+
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- postJSON(t, h, "/v1/sweep", body) }()
+	select {
+	case w := <-done:
+		if w.Code != http.StatusOK {
+			t.Fatalf("retry after panic: status %d %s", w.Code, w.Body.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("retry after panic blocked: the key is wedged")
 	}
 }

@@ -19,13 +19,12 @@ import (
 const smallPlanBody = `{"space":{"internals":["raid5","raid6"],"fault_tolerances":[1,2],"redundancy_set_sizes":[8],"spare_nodes":[0,8],"utilizations":[0.6,0.9],"rebuild_bytes":[262144]}}`
 
 // slowPlanBody builds a plan request that takes seconds: a
-// single-topology ft=7 space whose 255-state chains cost ~100µs per
-// batched cell, swept across nUtils utilization values in [0.50, 0.99]
-// — a range where nothing is dominated (capacity rises and reliability
-// falls together), so every candidate reaches exact confirmation with
-// per-cell cancellation granularity. The stressed MTTFs keep the
-// ultra-reliable ft=7 chains inside float64 (at the paper's baseline
-// rates some cells exhaust the exact solver's precision).
+// single-configuration ft=7 space swept across nUtils utilization values
+// in [0.50, 0.99] — a range where nothing is dominated (capacity rises
+// and reliability falls together), so every candidate is enumerated and
+// confirmed exactly, with a cancellation poll per candidate, and lands
+// on the frontier. The stressed MTTFs keep the ultra-reliable ft=7
+// results inside float64.
 func slowPlanBody(nUtils int) string {
 	vals := make([]string, nUtils)
 	for i := range vals {

@@ -441,7 +441,7 @@ func (ps *PlanSpaceSpec) resolve() (plan.Space, error) {
 }
 
 // PlanRequest is the body of POST /v1/plan: a two-phase design-space
-// search (closed-form prune, batched exact confirmation) returning the
+// search (closed-form prune, chunked exact confirmation) returning the
 // exact Pareto frontier on (cost, capacity, reliability).
 type PlanRequest struct {
 	Preset string         `json:"preset,omitempty"`

@@ -219,6 +219,10 @@ type Server struct {
 	// fleetMetrics instruments the fleet estimator on the registry
 	// (sim.fleet.* counters and gauges on /metrics).
 	fleetMetrics *sim.FleetMetrics
+	// cellHook, when set (tests only, before serving), runs before every
+	// sweep cell with the solve's context: the seam that holds a sweep
+	// mid-grid deterministically, however fast the cells are.
+	cellHook func(ctx context.Context, x float64)
 
 	http *http.Server
 	// baseCtx parents every request context; cancelled after drain so
@@ -231,6 +235,7 @@ type Server struct {
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	reg := opts.Registry
+	core.Instrument(reg)
 	markov.Instrument(reg)
 	linalg.Instrument(reg)
 	rebuild.Instrument(reg)
@@ -245,7 +250,8 @@ func New(opts Options) *Server {
 		cache: newResultCache(opts.CacheEntries,
 			reg.Counter("serve.cache.hits"),
 			reg.Counter("serve.cache.misses"),
-			reg.Counter("serve.cache.evictions")),
+			reg.Counter("serve.cache.evictions"),
+			reg.Counter("serve.panics")),
 		sem:          make(chan struct{}, core.MaxWorkers()),
 		mux:          http.NewServeMux(),
 		baseCtx:      baseCtx,

@@ -14,7 +14,7 @@ import (
 // NDJSON sweep streaming. A sweep over a large grid can run for many
 // seconds; the buffered handler holds every byte until the last cell
 // solves. The streaming path writes each point's row the moment the
-// batched engine finishes it, so a client starts plotting (or aborting)
+// sweep engine finishes it, so a client starts plotting (or aborting)
 // after the first chunk instead of after the whole grid. The wire format
 // is newline-delimited JSON:
 //
@@ -121,8 +121,7 @@ func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter, key str
 	}
 
 	rows := make([]SweepPointResponse, 0, len(job.Values))
-	apply := sweepKnobs[job.Parameter]
-	_, err := core.SweepStreamCtx(ctx, job.Params, job.Configs, job.Method, job.Values, apply,
+	_, err := core.SweepStreamCtx(ctx, job.Params, job.Configs, job.Method, job.Values, s.sweepApply(ctx, job.Parameter),
 		func(pt core.SweepPoint) error {
 			row := sweepPointResponseFrom(pt)
 			if err := lw.line(row); err != nil {

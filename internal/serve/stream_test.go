@@ -32,15 +32,19 @@ func streamRequest(t *testing.T, ctx context.Context, url, body string) *http.Re
 
 // TestSweepStreamE2E is the streaming acceptance test: a ≥10k-cell
 // exact-chain sweep streams its first row while the grid is still
-// solving, delivers every point in ascending x order, and the streamed
-// rows reassemble byte-for-byte into the buffered JSON body.
+// solving (its last cell is held by a gate), delivers every point in
+// ascending x order, and the streamed rows reassemble byte-for-byte into
+// the buffered JSON body.
 func TestSweepStreamE2E(t *testing.T) {
+	const n = 10_000
 	s := New(Options{MaxGridCells: 20000})
+	gate := newCellGate(200_000 + n - 1)
+	s.cellHook = gate.hook
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
+	defer gate.open()
 	inflight := s.Registry().Gauge("serve.inflight")
 
-	const n = 10_000
 	body := slowSweepBody(n)
 	resp := streamRequest(t, context.Background(), srv.URL, body)
 	defer resp.Body.Close()
@@ -78,6 +82,7 @@ func TestSweepStreamE2E(t *testing.T) {
 	if c := s.CacheLen(); c != 0 {
 		t.Errorf("cache holds %d entries mid-stream, want 0", c)
 	}
+	gate.open()
 
 	rows := []string{first}
 	lastX := -1.0
@@ -150,8 +155,11 @@ func TestSweepStreamE2E(t *testing.T) {
 // and the partial grid must not be cached.
 func TestSweepStreamClientKillMidStream(t *testing.T) {
 	s := New(Options{MaxGridCells: 65536})
+	gate := newCellGate(200_000 + 16384)
+	s.cellHook = gate.hook
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
+	defer gate.open()
 	inflight := s.Registry().Gauge("serve.inflight")
 	aborts := s.Registry().Counter("serve.stream.aborted")
 
@@ -167,9 +175,13 @@ func TestSweepStreamClientKillMidStream(t *testing.T) {
 	if _, err := br.ReadString('\n'); err != nil { // first row
 		t.Fatalf("first row: %v", err)
 	}
+	gate.wait(t) // the grid is still running: its middle cell is held
 	cancel()
 
 	waitFor(t, 5*time.Second, func() bool { return inflight.Value() == 0 })
+	if n := gate.late.Load(); n > maxLateCells() {
+		t.Errorf("%d cells ran after the client left, want at most %d", n, maxLateCells())
+	}
 	if n := s.CacheLen(); n != 0 {
 		t.Errorf("cache holds %d entries after killed stream, want 0", n)
 	}

@@ -101,34 +101,36 @@ func TestAnalyzeSpanTree(t *testing.T) {
 	}
 }
 
-// traceSweepBody is slowSweepBody's shape at ft=8 — the CSR pattern is
-// a function of the fault tolerance (refill keeps structural zeros, see
-// DESIGN.md §9), and no other test solves an ft=8 chain, so the pooled
-// Solvers' MRU caches (process-wide, warm with the ft=7 pattern after
-// the cancellation tests) cannot satisfy the first cell: the trace must
-// contain a fresh sparse.symbolic analysis.
-func traceSweepBody(n int) string {
+// traceSweepBody is slowSweepBody's shape at ft=8 with the given method.
+func traceSweepBody(method string, n int) string {
 	vals := make([]string, n)
 	for i := range vals {
 		vals[i] = fmt.Sprintf("%d", 200_000+i)
 	}
 	return `{"params":{"redundancy_set_size":48},
 		"configs":[{"internal":"none","ft":8}],
-		"method":"exact-chain",
+		"method":"` + method + `",
 		"parameter":"drive_mttf_hours",
 		"values":[` + strings.Join(vals, ",") + `]}`
 }
 
-// TestSweepSpanTree drives a sweep onto the sparse CTMC path (wide
-// chains at r=48, ft=8) and pins the span-tree shape of both sweep
-// engines. The default batched engine amortizes per-cell bookkeeping
-// into one "markov.batch" span per chunk (DESIGN.md §11); the per-cell
-// path (batching disabled) keeps the §10 tree: per-cell spans parenting
-// freeze, symbolic, refactor and solve.
+// traceAnalyzeBody is one exact-chain analysis of the same ft=8, r=48
+// configuration: a 511-state chain on the sparse path. The CSR pattern
+// is a function of the fault tolerance, and no other test solves an
+// ft=8 chain, so the pooled Solvers' MRU caches cannot satisfy it: the
+// trace holds a fresh sparse.symbolic analysis.
+const traceAnalyzeBody = `{"params":{"redundancy_set_size":48},
+	"config":{"internal":"none","ft":8},"method":"exact-chain"}`
+
+// TestSweepSpanTree pins the span-tree shape of both sweep paths. An
+// exact-chain sweep runs on the recurrences in chunks and emits one
+// "core.chunk" span per chunk (DESIGN.md §11), never one per cell; other
+// methods keep the per-cell "core.cell" spans, and the chain solve's
+// stages (freeze, symbolic, refactor, solve) hang off an exact-chain
+// analysis.
 func TestSweepSpanTree(t *testing.T) {
-	// One worker ⇒ one pooled solver serves every cell (and one chunk on
-	// the batched path), so the span counts below are deterministic on
-	// any machine.
+	// One worker ⇒ one chunk per configuration and x block, so the span
+	// counts below are deterministic on any machine.
 	core.SetMaxWorkers(1)
 	defer core.SetMaxWorkers(0)
 
@@ -136,15 +138,14 @@ func TestSweepSpanTree(t *testing.T) {
 		var buf bytes.Buffer
 		s := New(Options{MaxGridCells: 65536, TraceWriter: &buf})
 		h := s.Handler()
-		w := postJSON(t, h, "/v1/sweep", traceSweepBody(4))
+		w := postJSON(t, h, "/v1/sweep", traceSweepBody("exact-chain", 4))
 		if w.Code != http.StatusOK {
 			t.Fatalf("sweep: %d %s", w.Code, w.Body.String())
 		}
 		spans := readSpans(t, &buf)
 		idx := spanIndex(spans)
 		for _, name := range []string{
-			"serve.request", "serve.cache", "serve.compute", "core.sweep",
-			"markov.batch",
+			"serve.request", "serve.cache", "serve.compute", "core.sweep", "core.chunk",
 		} {
 			if len(idx[name]) == 0 {
 				t.Errorf("sweep trace missing %q span; have %v", name, names(spans))
@@ -152,31 +153,33 @@ func TestSweepSpanTree(t *testing.T) {
 		}
 		// 4 cells, one worker, default 256-cell chunks: exactly one chunk
 		// span, hung off the sweep under the request root.
-		if got := len(idx["markov.batch"]); got != 1 {
-			t.Errorf("markov.batch spans = %d, want 1", got)
+		if got := len(idx["core.chunk"]); got != 1 {
+			t.Errorf("core.chunk spans = %d, want 1", got)
 		}
-		for _, ch := range idx["markov.batch"] {
+		for _, ch := range idx["core.chunk"] {
 			if !hasAncestor(spans, ch, "core.sweep") || !hasAncestor(spans, ch, "serve.request") {
-				t.Errorf("markov.batch span %d not rooted under core.sweep/serve.request", ch.ID)
+				t.Errorf("core.chunk span %d not rooted under core.sweep/serve.request", ch.ID)
 			}
 		}
-		// No per-cell spans on the batch path — the chunk span replacing
-		// them is the amortization the engine exists for.
-		if got := len(idx["core.cell"]); got != 0 {
-			t.Errorf("core.cell spans = %d on the batched path, want 0", got)
+		// No per-cell spans and no chain solve: the recurrences need
+		// neither.
+		for _, name := range []string{"core.cell", "chain.freeze", "markov.solve", "sparse.refactor"} {
+			if got := len(idx[name]); got != 0 {
+				t.Errorf("%s spans = %d on the exact sweep path, want 0", name, got)
+			}
 		}
 
 		// The same request without a TraceWriter still feeds the stage
 		// histograms on /metrics (fold-only mode).
 		s2 := New(Options{MaxGridCells: 65536})
 		h2 := s2.Handler()
-		if w := postJSON(t, h2, "/v1/sweep", traceSweepBody(4)); w.Code != http.StatusOK {
+		if w := postJSON(t, h2, "/v1/sweep", traceSweepBody("exact-chain", 4)); w.Code != http.StatusOK {
 			t.Fatalf("untraced sweep: %d %s", w.Code, w.Body.String())
 		}
 		snap := s2.Registry().Snapshot()
 		for _, hist := range []string{
 			"trace.serve.request.seconds", "trace.core.sweep.seconds",
-			"trace.markov.batch.seconds",
+			"trace.core.chunk.seconds",
 		} {
 			if _, ok := snap.Histograms[hist]; !ok {
 				t.Errorf("fold-only server missing %q histogram", hist)
@@ -185,22 +188,17 @@ func TestSweepSpanTree(t *testing.T) {
 	})
 
 	t.Run("percell", func(t *testing.T) {
-		prev := core.SetBatchCells(-1)
-		defer core.SetBatchCells(prev)
-
 		var buf bytes.Buffer
 		s := New(Options{MaxGridCells: 65536, TraceWriter: &buf})
 		h := s.Handler()
-		w := postJSON(t, h, "/v1/sweep", traceSweepBody(4))
+		w := postJSON(t, h, "/v1/sweep", traceSweepBody("closed-form", 4))
 		if w.Code != http.StatusOK {
 			t.Fatalf("sweep: %d %s", w.Code, w.Body.String())
 		}
 		spans := readSpans(t, &buf)
 		idx := spanIndex(spans)
 		for _, name := range []string{
-			"serve.request", "serve.cache", "serve.compute", "core.sweep",
-			"core.cell", "chain.freeze", "sparse.symbolic", "sparse.refactor",
-			"sparse.solve", "markov.solve",
+			"serve.request", "serve.cache", "serve.compute", "core.sweep", "core.cell",
 		} {
 			if len(idx[name]) == 0 {
 				t.Errorf("sweep trace missing %q span; have %v", name, names(spans))
@@ -210,13 +208,30 @@ func TestSweepSpanTree(t *testing.T) {
 		if got := len(idx["core.cell"]); got != 4 {
 			t.Errorf("core.cell spans = %d, want 4", got)
 		}
+		if got := len(idx["core.chunk"]); got != 0 {
+			t.Errorf("core.chunk spans = %d on the per-cell path, want 0", got)
+		}
 		for _, cell := range idx["core.cell"] {
 			if !hasAncestor(spans, cell, "core.sweep") {
 				t.Errorf("core.cell span %d not under core.sweep", cell.ID)
 			}
 		}
-		// The sparse stages belong to a solve, which belongs to a cell.
-		for _, name := range []string{"sparse.refactor", "sparse.solve"} {
+		// The sparse stages belong to a solve, which belongs to the
+		// analysis request's compute span.
+		buf.Reset()
+		if w := postJSON(t, h, "/v1/analyze", traceAnalyzeBody); w.Code != http.StatusOK {
+			t.Fatalf("analyze: %d %s", w.Code, w.Body.String())
+		}
+		spans = readSpans(t, &buf)
+		idx = spanIndex(spans)
+		for _, name := range []string{
+			"chain.freeze", "sparse.symbolic", "sparse.refactor", "sparse.solve", "markov.solve",
+		} {
+			if len(idx[name]) == 0 {
+				t.Errorf("analysis trace missing %q span; have %v", name, names(spans))
+			}
+		}
+		for _, name := range []string{"sparse.symbolic", "sparse.refactor", "sparse.solve"} {
 			for _, sp := range idx[name] {
 				if !hasAncestor(spans, sp, "markov.solve") {
 					t.Errorf("%s span %d not under markov.solve", name, sp.ID)
@@ -224,22 +239,19 @@ func TestSweepSpanTree(t *testing.T) {
 			}
 		}
 		for _, solve := range idx["markov.solve"] {
-			if !hasAncestor(spans, solve, "core.cell") {
-				t.Errorf("markov.solve span %d not under core.cell", solve.ID)
+			if !hasAncestor(spans, solve, "serve.compute") {
+				t.Errorf("markov.solve span %d not under serve.compute", solve.ID)
 			}
 		}
-		// One topology shared across cells: the symbolic analysis runs on
-		// the miss only, then is reused.
-		if got := len(idx["sparse.symbolic"]); got < 1 || got >= len(idx["sparse.refactor"]) {
-			t.Errorf("sparse.symbolic spans = %d (refactors %d): want fewer symbolic analyses than refactors",
-				got, len(idx["sparse.refactor"]))
-		}
 
-		// Fold-only mode covers the per-cell stages too.
+		// Fold-only mode covers the per-cell and chain stages too.
 		s2 := New(Options{MaxGridCells: 65536})
 		h2 := s2.Handler()
-		if w := postJSON(t, h2, "/v1/sweep", traceSweepBody(4)); w.Code != http.StatusOK {
+		if w := postJSON(t, h2, "/v1/sweep", traceSweepBody("closed-form", 4)); w.Code != http.StatusOK {
 			t.Fatalf("untraced sweep: %d %s", w.Code, w.Body.String())
+		}
+		if w := postJSON(t, h2, "/v1/analyze", traceAnalyzeBody); w.Code != http.StatusOK {
+			t.Fatalf("untraced analyze: %d %s", w.Code, w.Body.String())
 		}
 		snap := s2.Registry().Snapshot()
 		for _, hist := range []string{
